@@ -21,7 +21,6 @@ func environment(cfg config, dir string) map[string]any {
 		"workload":      cfg.workload,
 		"seed":          cfg.seed,
 		"seconds":       cfg.seconds,
-		"scale":         cfg.scale,
 		"trace":         cfg.trace,
 		"gomaxprocs":    runtime.GOMAXPROCS(0),
 		"nproc":         runtime.NumCPU(),

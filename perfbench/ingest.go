@@ -28,7 +28,7 @@ const (
 	ingestDeleteShare = 0.10 // deletes of earlier items per insert
 	ingestPool        = 4096
 	ingestCheck       = 512 // reader queries checked exactly after the run
-	ingestSetupReps   = 9   // set-up is a few milliseconds, so take more
+	ingestSetupReps   = 25  // set-up is a few milliseconds, so take more
 )
 
 var ingestMix = mix{window: 90, knn: 10}

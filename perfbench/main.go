@@ -38,7 +38,7 @@ type config struct {
 	seed     int64
 	seconds  float64
 	trace    bool
-	scale    float64 // multiplies dataset and pool sizes; 1 is the benchmark
+	scale    float64 // multiplies dataset and pool sizes; 1 is the benchmark, the self-test shrinks it
 	workdir  string  // where index files and spans are written
 }
 
@@ -87,13 +87,12 @@ var workloads = map[string]func(config, *tracer) (*outcome, error){
 }
 
 func main() {
-	var cfg config
+	cfg := config{scale: 1}
 	var trace int
 	flag.StringVar(&cfg.workload, "workload", "", "workload to run: serve-cached, query-pressure or ingest-mixed")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed of every generated input")
 	flag.Float64Var(&cfg.seconds, "seconds", 10, "length of the measured phase")
 	flag.IntVar(&trace, "trace", 0, "1 runs traced and reports per-layer figures")
-	flag.Float64Var(&cfg.scale, "scale", 1, "dataset and query-pool scale (1 is the benchmark)")
 	flag.StringVar(&cfg.workdir, "workdir", ".bench_build/perfbench/work", "directory for index files and spans")
 	flag.Parse()
 	cfg.trace = trace == 1
@@ -125,8 +124,8 @@ func run(cfg config) (*result, error) {
 		sort.Strings(names)
 		return nil, fmt.Errorf("unknown workload %q (want one of %v)", cfg.workload, names)
 	}
-	if cfg.seconds <= 0 || cfg.scale <= 0 {
-		return nil, errors.New("--seconds and --scale must be positive")
+	if cfg.seconds <= 0 {
+		return nil, errors.New("--seconds must be positive")
 	}
 	if err := os.MkdirAll(cfg.workdir, 0o755); err != nil {
 		return nil, err

@@ -113,10 +113,10 @@ func runServeCached(cfg config, tr *tracer) (*outcome, error) {
 	valid, _ := ol.validity(serveRate)
 	due := summarize(ol.samples, ol.span, valid)
 	out.env = map[string]any{"valid_slices": due.Slices, "slices": len(valid)}
-	if due.Slices*4 < len(valid) {
-		// Too few slices kept pace for their first quartile to mean
-		// anything: the host took the CPUs away for most of the phase.
-		// The figures then come from every slice and the record says so.
+	if due.Slices*2 < len(valid) {
+		// Fewer than half the slices kept pace: the host took the CPUs
+		// away for most of the phase. The figures then come from every
+		// slice and the record says so.
 		fmt.Fprintf(os.Stderr, "perfbench: generator or server fell behind in %d of %d slices\n", len(valid)-due.Slices, len(valid))
 		valid = nil
 		due = summarize(ol.samples, ol.span, nil)

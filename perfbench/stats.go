@@ -45,14 +45,14 @@ type sample struct {
 	lat time.Duration
 }
 
-// latencySummary splits a phase into equal slices by time and reports,
-// over the slices, the first quartile of each slice's p50 and p99: the
-// figures of the quieter quarter of the phase. The benchmark runs on
-// 2-vCPU virtual machines whose host takes CPU away in bursts of
-// seconds; in such a burst an open loop's latencies rise several-fold,
-// and a median over slices moved with the share of the run the bursts
-// covered. A change in the program moves every slice, the quiet ones
-// included.
+// latencySummary splits a phase into equal slices by time and reports
+// the median over the slices of each slice's p50 and p99. Every slice
+// counts, so a change that slows most of the phase, such as stalls
+// behind merges or slower reads while one runs, moves the figures. The
+// benchmark runs on 2-vCPU virtual machines whose host takes CPU away in
+// bursts of seconds; a p99 over the whole phase followed whichever
+// slices such a burst hit, while the median over slices moves only when
+// more than half of them are hit.
 type latencySummary struct {
 	P50, P99 float64 // microseconds
 	PerSec   float64
@@ -104,7 +104,7 @@ func summarize(samples []sample, span time.Duration, valid []bool) latencySummar
 		p50s = append(p50s, us(quantile(b, 0.50)))
 		p99s = append(p99s, us(quantile(b, 0.99)))
 	}
-	out.P50, out.P99 = quartile(p50s, 1), quartile(p99s, 1)
+	out.P50, out.P99 = median(p50s), median(p99s)
 	// The rate is the phase's work over its length: per slice it moved
 	// with where the background merges fell more than with the program.
 	var last time.Duration
@@ -113,17 +113,6 @@ func summarize(samples []sample, span time.Duration, valid []bool) latencySummar
 	}
 	out.PerSec = float64(len(samples)) / last.Seconds()
 	return out
-}
-
-// quartile returns the q-th quartile of v by the nearest-rank rule.
-func quartile(v []float64, q int) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	i := int(math.Ceil(float64(q)*float64(len(s))/4)) - 1
-	return s[min(max(i, 0), len(s)-1)]
 }
 
 // p50us returns the median of durations in microseconds.
