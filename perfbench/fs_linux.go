@@ -1,6 +1,9 @@
 package main
 
-import "syscall"
+import (
+	"runtime"
+	"syscall"
+)
 
 // fsType names the filesystem holding dir from its statfs magic number.
 func fsType(dir string) string {
@@ -17,4 +20,13 @@ func fsType(dir string) string {
 		return n
 	}
 	return "unknown"
+}
+
+// settle brings a run to the same state before each measured phase: it
+// writes the page cache's dirty pages to disk, so the set-up's writes
+// and any earlier run's do not compete with the phase's, and collects
+// the set-up's garbage.
+func settle() {
+	syscall.Sync()
+	runtime.GC()
 }

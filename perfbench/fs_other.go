@@ -2,4 +2,8 @@
 
 package main
 
+import "runtime"
+
 func fsType(string) string { return "unknown" }
+
+func settle() { runtime.GC() }

@@ -2,7 +2,7 @@
 // workloads that measure the PR-tree system end to end, check every
 // answer, and, when traced, break the cost down by layer.
 //
-//	bash perfbench/run.sh --workload serve-cached --seed 1 --seconds 15 --trace 0
+//	bash perfbench/run.sh --workload serve-cached --seed 1 --seconds 30 --trace 0
 //
 // Workloads (BENCHMARK.json says why each exists):
 //
@@ -12,7 +12,12 @@
 //     callers through a page cache holding 10% of its pages.
 //   - ingest-mixed: a durable dynamic index with background compaction;
 //     one writer commits each insert or delete with a WAL fsync while one
-//     reader queries.
+//     reader queries. BENCHMARK.json does not list it: each write waits
+//     on two fsyncs, so its figures follow the disk, which a virtual
+//     machine shares with its host's other tenants. On a 2-vCPU VM the
+//     same code's write p99 spread by a quarter of its median over ten
+//     runs, and some runs were 2.5 to 5 times slower throughout.
+//     The command still runs it and checks every answer.
 //
 // With --trace 0 the last line of standard output is the end-to-end
 // result; with --trace 1 it carries the per-layer figures of a traced

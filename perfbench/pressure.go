@@ -142,13 +142,21 @@ func runQueryPressure(cfg config, tr *tracer) (*outcome, error) {
 		log.end(id, 0, 0, "rtree", kindNames[q.kind], start)
 		return f == want[qi], err
 	}
+	// A short unmeasured pass fills the cache, then settle flushes the
+	// set-up's writes and clears its garbage, so the measured phase
+	// starts from the same state on every run.
+	warm, err := runClosedLoop(pressureCallers, len(pool), cfg.seed-1, min(warmup, cfg.phase()/4), do, nil)
+	if err != nil {
+		return nil, err
+	}
+	settle()
 	cs0, io0 := t.CacheStats(), t.IOStats()
 	cl, err := runClosedLoop(pressureCallers, len(pool), cfg.seed, cfg.phase(), do, nil)
 	if err != nil {
 		return nil, err
 	}
 	cs1, io1 := t.CacheStats(), t.IOStats()
-	out.attempted, out.failed = cl.attempted, cl.failed
+	out.attempted, out.failed = warm.attempted+cl.attempted, warm.failed+cl.failed
 	sum := summarize(cl.samples, cl.span, nil)
 	e2eQueries(out.e2e, sum, sum)
 	if tr != nil {
@@ -213,5 +221,5 @@ func pressureProbes(m metrics, cfg config, items []geom.Item, pool []query, path
 	if err := serveProbe(m, cfg.workdir, sample, pool, cfg.seed, cfg.phase()/5, log, tr); err != nil {
 		return err
 	}
-	return commonProbes(m, cfg, nil, sampleItems(sample, cfg.scaled(probeInserts, 200)), path, log)
+	return commonProbes(m, cfg, nil, sampleItems(sample, cfg.scaled(probeInserts, 200)), path, log, tr)
 }

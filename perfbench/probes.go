@@ -24,11 +24,13 @@ import (
 // the workload's measured path does not reach is still costed on that
 // workload's inputs, and its work counts on the path read zero.
 
-// probeItems caps the sample a probe builds its own index from, and
-// probeInserts the in-memory insert stream of workloads without writes.
+// probeItems caps the sample a probe builds its own index from,
+// probeInserts the in-memory insert stream of workloads without writes,
+// and probeWrites the measured writes of the durable write probe.
 const (
 	probeItems   = 100_000
 	probeInserts = 12_000
+	probeWrites  = 2_000
 )
 
 // rtreeProbe runs the pool twice on warm, unbounded-cache static trees

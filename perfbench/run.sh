@@ -2,7 +2,7 @@
 # Builds the benchmark driver from source and runs it with the given
 # arguments, from the root of a checkout of the repository:
 #
-#   bash perfbench/run.sh --workload serve-cached --seed 1 --seconds 15 --trace 0
+#   bash perfbench/run.sh --workload serve-cached --seed 1 --seconds 30 --trace 0
 #
 # Everything it writes (Go build cache, binary, index files, spans) stays
 # under .bench_build/ in the checkout.

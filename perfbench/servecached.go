@@ -92,16 +92,16 @@ func runServeCached(cfg config, tr *tracer) (*outcome, error) {
 	}
 	out.attempted, out.failed = 2*len(pool), bad
 
-	// A short unmeasured phase warms the connection path, then a
-	// collection clears the set-up's garbage, so the measured phase
-	// starts from the same state on every run.
+	// A short unmeasured phase warms the connection path, then settle
+	// flushes the set-up's writes and clears its garbage, so the measured
+	// phase starts from the same state on every run.
 	warm, _, err := serveOpenLoop(set, pool, want, cfg.seed-1, warmup, nil)
 	if err != nil {
 		return nil, err
 	}
 	out.attempted += warm.attempted
 	out.failed += warm.failed
-	runtime.GC()
+	settle()
 	before := set.Stats()
 	ol, stz, err := serveOpenLoop(set, pool, want, cfg.seed, cfg.phase(), nil)
 	if err != nil {
@@ -179,7 +179,7 @@ func runServeCached(cfg config, tr *tracer) (*outcome, error) {
 		out.layers.set("storage.file_bytes_per_item", "B", ratio(float64(size), float64(n)))
 		out.layers.set("bulk.shard_build_s", "s", medianSeconds(builds))
 		sample := sampleItems(items, probeItems)
-		if err := commonProbes(out.layers, cfg, sample, sampleItems(sample, cfg.scaled(probeInserts, 200)), files[0], log); err != nil {
+		if err := commonProbes(out.layers, cfg, sample, sampleItems(sample, cfg.scaled(probeInserts, 200)), files[0], log, tr); err != nil {
 			return nil, err
 		}
 	}
@@ -206,10 +206,9 @@ func storageFigures(m metrics, before, after serve.SetStats, queries int) {
 // bulk layer on a sample (skipped when sample is nil because the workload
 // bulk-loads on its own path), the pager on a closed index file (the bulk
 // probe's when indexFile is empty),
-// single-page commits, and the logarithmic method on an in-memory insert
-// stream of dynItems. The durable write path's figures read zero; the
-// workload with durable writes replaces them.
-func commonProbes(m metrics, cfg config, sample, dynItems []geom.Item, indexFile string, log *spanLog) error {
+// single-page commits, a short durable write phase, and the logarithmic
+// method on an in-memory insert stream of dynItems.
+func commonProbes(m metrics, cfg config, sample, dynItems []geom.Item, indexFile string, log *spanLog, tr *tracer) error {
 	if sample != nil {
 		path, err := bulkProbe(m, cfg.workdir, sample, log)
 		if err != nil {
@@ -225,7 +224,8 @@ func commonProbes(m metrics, cfg config, sample, dynItems []geom.Item, indexFile
 	if err := commitProbe(m, cfg.workdir, log); err != nil {
 		return err
 	}
-	m.set("storage.page_writes_per_insert", "count", 0)
-	m.set("storage.wal_bytes_per_insert", "B", 0)
+	if err := durableProbe(m, cfg, tr); err != nil {
+		return err
+	}
 	return dynProbe(m, dynItems, log)
 }
