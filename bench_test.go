@@ -70,7 +70,7 @@ func benchQueries(b *testing.B, l bulk.Loader, items []geom.Item, queries []geom
 	for i := 0; i < b.N; i++ {
 		leaves, results = 0, 0
 		for _, q := range queries {
-			st := tree.QueryCount(q)
+			st, _ := tree.RunWindow(q, false, nil, rtree.RunOptions{})
 			leaves += st.LeavesVisited
 			results += st.Results
 		}
@@ -313,11 +313,11 @@ func BenchmarkLayoutFig12(b *testing.B) {
 			out = outcome{}
 			disk.ResetStats()
 			for _, q := range queries {
-				tree.Query(q, func(it geom.Item) bool {
+				tree.RunWindow(q, false, func(it geom.Item) bool {
 					out.results++
 					out.checksum += uint64(it.ID)
 					return true
-				})
+				}, rtree.RunOptions{})
 			}
 			out.io = disk.Stats().Total()
 		}
@@ -348,7 +348,7 @@ func BenchmarkWindowQueryPR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := tree.QueryCount(queries[i%len(queries)])
+		st, _ := tree.RunWindow(queries[i%len(queries)], false, nil, rtree.RunOptions{})
 		if st.Results < 0 {
 			b.Fatal("impossible")
 		}

@@ -20,13 +20,22 @@ import (
 // kill-at-every-step crash test for the dynamic index's persistence
 // (carries, the background epoch-swap commit, flushes).
 
-// dynDigest fingerprints a dynamic index's entire query surface. Window,
-// point and containment results are canonicalized by item ID (sync and
-// background runs may build different level shapes, so traversal order is
-// not comparable — the result SET must be identical); kNN results keep
-// their order, which is deterministic (distance then ID) regardless of
-// shape.
-func dynDigest(t *testing.T, d *Dynamic) uint32 {
+// queryable is the read surface Tree and Dynamic share, so one digest
+// fingerprints either.
+type queryable interface {
+	Len() int
+	Collect(Query) ([]Item, error)
+	Count(Query) (int, error)
+	CollectNearest(Query) ([]Neighbor, error)
+}
+
+// dynDigest fingerprints an index's entire query surface. Window, point
+// and containment results are canonicalized by item ID (sync and
+// background runs may build different level shapes, and a static tree
+// another shape again, so traversal order is not comparable — the result
+// SET must be identical); kNN results keep their order, which is
+// deterministic (distance then ID) regardless of shape.
+func dynDigest(t *testing.T, d queryable) uint32 {
 	t.Helper()
 	windows := []Rect{
 		NewRect(0.1, 0.1, 0.4, 0.4),
@@ -50,19 +59,20 @@ func dynDigest(t *testing.T, d *Dynamic) uint32 {
 	}
 	fmt.Fprintf(&sb, "len:%d;", d.Len())
 	for _, q := range windows {
-		dump("w", d.Search(q))
-		dump("c", d.SearchContained(q))
+		dump("w", must(d.Collect(Window(q))))
+		dump("c", must(d.Collect(Contained(q))))
 	}
-	dump("p", d.SearchPoint(0.33, 0.44))
-	dump("p", d.SearchPoint(0.71, 0.18))
-	for _, nn := range [][]Neighbor{d.NearestNeighbors(0.2, 0.8, 10), d.NearestNeighbors(0.9, 0.1, 10)} {
+	for _, p := range [][2]float64{{0.33, 0.44}, {0.71, 0.18}, {0.5, 0.5}, {0.12, 0.87}, {0.9, 0.61}} {
+		dump("p", must(d.Collect(Point(p[0], p[1]))))
+	}
+	for _, nn := range [][]Neighbor{must(d.CollectNearest(Nearest(0.2, 0.8, 10))), must(d.CollectNearest(Nearest(0.9, 0.1, 10)))} {
 		fmt.Fprintf(&sb, "n:%d;", len(nn))
 		for _, n := range nn {
 			fmt.Fprintf(&sb, "%d,%v,%g;", n.Item.ID, n.Item.Rect, n.Dist2)
 		}
 	}
-	for _, res := range d.SearchBatch(windows, 3) {
-		dump("b", res)
+	for _, q := range windows {
+		fmt.Fprintf(&sb, "k:%d;", must(d.Count(Window(q))))
 	}
 	return crc32.ChecksumIEEE([]byte(sb.String()))
 }
@@ -81,26 +91,39 @@ func waitForMerges(t *testing.T, d *Dynamic) {
 	}
 }
 
-// dynEquivWorkload applies a deterministic insert/delete/revive sequence.
-func dynEquivWorkload(d *Dynamic, seed int64) {
+// dynEquivWorkload applies a deterministic insert/delete/revive sequence
+// and returns the items it leaves live.
+func dynEquivWorkload(d *Dynamic, seed int64) []Item {
 	r := rand.New(rand.NewSource(seed))
 	items := crashItems(r, 400, 0)
+	live := make(map[uint32]Item)
+	insert := func(it Item) { d.Insert(it); live[it.ID] = it }
+	del := func(it Item) {
+		if d.Delete(it) {
+			delete(live, it.ID)
+		}
+	}
 	for i, it := range items {
-		d.Insert(it)
+		insert(it)
 		if i > 20 && i%7 == 3 {
-			d.Delete(items[i-17]) // tombstone an item already in a component
+			del(items[i-17]) // tombstone an item already in a component
 		}
 	}
 	// Revive two tombstoned items (re-insert of a dead ID).
-	d.Insert(items[7])
-	d.Insert(items[14])
-	d.Delete(items[21])
+	insert(items[7])
+	insert(items[14])
+	del(items[21])
+	out := make([]Item, 0, len(live))
+	for _, it := range live {
+		out = append(out, it)
+	}
+	return out
 }
 
 // TestDynamicBackgroundEquivalence: background compaction must yield
-// bit-identical query results (window, point, containment, kNN, batch) to
-// the synchronous path, across seeds and across the memory and file
-// backends. BlockSize 512 keeps the component base small so the workload
+// bit-identical query results (window, point, containment, kNN, count) to
+// the synchronous path and to a static tree over the same live items,
+// across seeds and across the memory and file backends. BlockSize 512 keeps the component base small so the workload
 // crosses many carries.
 func TestDynamicBackgroundEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 9} {
@@ -108,6 +131,7 @@ func TestDynamicBackgroundEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			digests := make(map[string]uint32)
+			var live []Item
 
 			for _, cfg := range []struct {
 				name       string
@@ -130,7 +154,7 @@ func TestDynamicBackgroundEquivalence(t *testing.T) {
 				} else {
 					d = NewDynamic(opts)
 				}
-				dynEquivWorkload(d, seed)
+				live = dynEquivWorkload(d, seed)
 				if cfg.background {
 					// Let a merge land so Install and epoch advancement are
 					// exercised before we read.
@@ -146,6 +170,9 @@ func TestDynamicBackgroundEquivalence(t *testing.T) {
 					t.Fatalf("%s: close: %v", cfg.name, err)
 				}
 			}
+			// A static tree over the same live set answers every kind
+			// identically: one query surface, two executors.
+			digests["static"] = dynDigest(t, Bulk(live, &Options{BlockSize: 512}))
 
 			want := digests["memory/sync"]
 			for name, got := range digests {
@@ -199,8 +226,9 @@ func TestDynamicFileBackgroundReopen(t *testing.T) {
 }
 
 // TestDynamicConcurrentReadersDuringMerges is the -race stress: window,
-// point, containment, kNN and batch readers run continuously while a
-// writer drives inserts and deletes through many background merges.
+// point, containment, kNN, count and iterator readers run continuously
+// while a writer drives inserts and deletes through many background
+// merges.
 // Readers check snapshot invariants (no duplicate IDs, every result
 // intersects the query) — with the race detector on, this also proves the
 // copy-on-write path is data-race-free.
@@ -239,7 +267,7 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 						switch w % 4 {
 						case 0:
 							seen := make(map[uint32]bool)
-							d.Query(q, func(it Item) bool {
+							_ = d.Run(Window(q), func(it Item) bool {
 								if seen[it.ID] {
 									t.Errorf("duplicate ID %d in window result", it.ID)
 								}
@@ -251,17 +279,19 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 								return true
 							})
 						case 1:
-							d.SearchContained(q)
-							d.SearchPoint(r.Float64(), r.Float64())
+							must(d.Collect(Contained(q)))
+							must(d.Collect(Point(r.Float64(), r.Float64())))
 						case 2:
-							nn := d.NearestNeighbors(r.Float64(), r.Float64(), 8)
+							nn := must(d.CollectNearest(Nearest(r.Float64(), r.Float64(), 8)))
 							for i := 1; i < len(nn); i++ {
 								if nn[i].Dist2 < nn[i-1].Dist2 {
 									t.Errorf("kNN results out of order")
 								}
 							}
 						case 3:
-							d.SearchBatch([]Rect{q, NewRect(0, 0, 0.5, 0.5)}, 2)
+							must(d.Count(Window(q)))
+							for range d.Iter(Window(NewRect(0, 0, 0.5, 0.5)).WithLimit(16)) {
+							}
 						}
 					}
 				}(w)

@@ -23,7 +23,7 @@ func main() {
 		tree.Len(), tree.Height(), tree.Nodes())
 
 	// Window query: everything in western Europe, consumed as a pull
-	// iterator (the v2 query surface).
+	// iterator.
 	q := prtree.NewRect(0, 50, 15, 60)
 	fmt.Printf("query %v:\n", q)
 	var st prtree.QueryStats
@@ -36,6 +36,6 @@ func main() {
 	// Dynamic updates are available too (Guttman's algorithms).
 	tree.Insert(prtree.Item{Rect: prtree.NewRect(8.5, 47.3, 8.6, 47.43), ID: 6}) // Zurich
 	tree.Delete(items[0])
-	fmt.Printf("after update: %d rectangles, %d hits in Europe\n",
-		tree.Len(), len(tree.Search(q)))
+	hits, _ := tree.Count(prtree.Window(q))
+	fmt.Printf("after update: %d rectangles, %d hits in Europe\n", tree.Len(), hits)
 }

@@ -279,7 +279,7 @@ func TestDuplicateRectsAllLoaders(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%v: %v", l, err)
 		}
-		if got := tr.QueryCount(geom.NewRect(0.5, 0.5, 0.5, 0.5)); got.Results != 600 {
+		if got, _ := tr.RunWindow(geom.NewRect(0.5, 0.5, 0.5, 0.5), false, nil, rtree.RunOptions{}); got.Results != 600 {
 			t.Fatalf("%v: found %d of 600 duplicates", l, got.Results)
 		}
 	}
@@ -315,7 +315,7 @@ func TestLoadersSerialParallelEquivalence(t *testing.T) {
 			tr := Load(l, pager, in, Options{Fanout: 16, MemoryItems: 1024, Parallelism: par})
 			r := result{stats: disk.Stats(), len: tr.Len(), height: tr.Height()}
 			for i, q := range queries {
-				st := tr.QueryCount(q)
+				st, _ := tr.RunWindow(q, false, nil, rtree.RunOptions{})
 				r.results[i] = st.Results
 				r.leaves[i] = st.LeavesVisited
 			}

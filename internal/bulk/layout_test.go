@@ -28,8 +28,13 @@ func snappedItems(n int, seed int64) []geom.Item {
 	return items
 }
 
-func idSorted(items []geom.Item) []geom.Item {
-	out := append([]geom.Item(nil), items...)
+// windowIDSorted returns the items a window query reports, ordered by ID.
+func windowIDSorted(tr *rtree.Tree, q geom.Rect) []geom.Item {
+	var out []geom.Item
+	tr.RunWindow(q, false, func(it geom.Item) bool {
+		out = append(out, it)
+		return true
+	}, rtree.RunOptions{})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -72,8 +77,8 @@ func TestLoadersCompressedLayout(t *testing.T) {
 					if err := rtree.CheckQueryAgainstBruteForce(comp, items, q); err != nil {
 						t.Fatalf("compressed: %v", err)
 					}
-					a := idSorted(raw.QueryCollect(q))
-					b := idSorted(comp.QueryCollect(q))
+					a := windowIDSorted(raw, q)
+					b := windowIDSorted(comp, q)
 					if len(a) != len(b) {
 						t.Fatalf("query %v: raw %d results, compressed %d", q, len(a), len(b))
 					}

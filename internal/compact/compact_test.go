@@ -8,6 +8,7 @@ import (
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
 	"prtree/internal/logmethod"
+	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -95,13 +96,13 @@ func TestCompactorBackgroundMerge(t *testing.T) {
 		}
 	}
 	got := map[uint32]bool{}
-	tr.Query(q, func(it geom.Item) bool {
+	tr.RunWindow(q, false, func(it geom.Item) bool {
 		if got[it.ID] {
 			t.Fatalf("duplicate result %d", it.ID)
 		}
 		got[it.ID] = true
 		return true
-	})
+	}, rtree.RunOptions{})
 	if len(got) != len(want) {
 		t.Fatalf("query results: got %d, want %d", len(got), len(want))
 	}

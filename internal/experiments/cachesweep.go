@@ -160,7 +160,7 @@ func cacheSweepRun(cfg Config) []cachePoint {
 		}
 		start := time.Now()
 		for _, q := range queries {
-			rt.QueryCount(q)
+			rt.RunWindow(q, false, nil, rtree.RunOptions{})
 		}
 		elapsed := time.Since(start)
 		// Close drains the prefetch queue before returning, so the

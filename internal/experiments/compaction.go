@@ -101,7 +101,7 @@ func compactionRun(items []geom.Item, queries []geom.Rect, background bool) (max
 	h := crc32.NewIEEE()
 	for i, q := range queries {
 		start := time.Now()
-		res := d.Search(q)
+		res, _ := d.Collect(prtree.Window(q)) // no context: cannot fail
 		qtimes[i] = time.Since(start)
 		sort.Slice(res, func(a, b int) bool { return res[a].ID < res[b].ID })
 		for _, it := range res {

@@ -64,7 +64,7 @@ func FutureWorkUpdates(cfg Config) Table {
 		cb := measureQueries(rebuilt, queries)
 		var logLeaves, logResults int
 		for _, q := range queries {
-			st := logm.Query(q, nil)
+			st, _ := logm.RunWindow(q, false, nil, rtree.RunOptions{})
 			logLeaves += st.LeavesVisited
 			logResults += st.Results
 		}

@@ -54,11 +54,11 @@ func measureLayout(l bulk.Loader, items []geom.Item, opt bulk.Options, queries [
 	tree.PinInternal()
 	disk.ResetStats()
 	for _, q := range queries {
-		tree.Query(q, func(it geom.Item) bool {
+		tree.RunWindow(q, false, func(it geom.Item) bool {
 			out.Results++
 			out.ResultSum += uint64(it.ID)
 			return true
-		})
+		}, rtree.RunOptions{})
 	}
 	out.QueryIO = disk.Stats().Total()
 	return out

@@ -17,7 +17,7 @@
 //
 // The component directory — buffer, static levels, tombstones — is an
 // immutable state value swapped through an atomic pointer. Readers
-// (Query, Contained, Nearest, Items, Len) load the pointer once, bracket
+// (RunWindow, RunNearest, Items, Len) load the pointer once, bracket
 // their page accesses with the backend's Snapshotter (see
 // storage.Snapshotter), and never take a lock: a level a reader is
 // traversing stays byte-stable even while a writer replaces and frees it,
@@ -92,8 +92,7 @@ type Tree struct {
 	gcPending bool          // a tombstone-GC rebuild is due but was deferred
 	kick      chan struct{} // buffered signal: buffer is full, carry wanted
 
-	visitors sync.Pool // query-path scratch (*levelVisitor)
-	rebuf    []geom.Item
+	rebuf []geom.Item
 
 	spill []storage.PageID // state pages owned by the last SaveState
 }
@@ -310,13 +309,13 @@ func (t *Tree) containsStored(s *state, it geom.Item) bool {
 			continue
 		}
 		found := false
-		l.Query(it.Rect, func(got geom.Item) bool {
+		l.RunWindow(it.Rect, false, func(got geom.Item) bool {
 			if got.ID == it.ID && got.Rect == it.Rect {
 				found = true
 				return false
 			}
 			return true
-		})
+		}, rtree.RunOptions{})
 		if found {
 			return true
 		}
@@ -367,52 +366,6 @@ func (t *Tree) rebuildLocked() {
 	}
 }
 
-// QueryStats aggregates the per-level query statistics.
-type QueryStats struct {
-	LeavesVisited int
-	NodesVisited  int
-	Results       int
-}
-
-// levelVisitor is pooled query-path scratch: it holds the per-query state
-// the per-level callback closes over and owns one pre-bound closure
-// (visit), created once per pooled instance. Pooling it — the same
-// treatment PR 3 gave the rtree/prtreed traversal stacks — means a
-// steady-state Query allocates nothing for its traversal plumbing, however
-// many static levels it fans across. Nested queries (issued from fn) each
-// grab their own visitor.
-type levelVisitor struct {
-	dead    map[uint32]geom.Rect
-	st      *QueryStats
-	fn      func(geom.Item) bool
-	aborted bool
-	visit   func(geom.Item) bool
-}
-
-func (t *Tree) grabVisitor() *levelVisitor {
-	v, _ := t.visitors.Get().(*levelVisitor)
-	if v == nil {
-		v = &levelVisitor{}
-		v.visit = func(it geom.Item) bool {
-			if _, gone := v.dead[it.ID]; gone {
-				return true
-			}
-			v.st.Results++
-			if v.fn != nil && !v.fn(it) {
-				v.aborted = true
-				return false
-			}
-			return true
-		}
-	}
-	return v
-}
-
-func (t *Tree) releaseVisitor(v *levelVisitor) {
-	v.dead, v.st, v.fn = nil, nil, nil
-	t.visitors.Put(v)
-}
-
 // enter loads a consistent state under a snapshot-reader bracket. The
 // Enter precedes the load, so every page freed after the load is pinned
 // until leave — a level in the loaded state stays traversable even while
@@ -422,104 +375,96 @@ func (t *Tree) enter() (*state, uint64) {
 	return t.st.Load(), e
 }
 
-// Query reports every live rectangle intersecting q. Each static level is
-// queried with its optimal PR-tree bound, so the total cost is
-// O(log(N/base) * sqrt(N/B) + T/B) I/Os. Safe to call concurrently with
-// mutations and background carries.
-func (t *Tree) Query(q geom.Rect, fn func(geom.Item) bool) QueryStats {
+// RunWindow is rtree.Tree.RunWindow over every live rectangle: it reports
+// those intersecting q (or, when contain is true, fully contained in q)
+// from the buffer, the in-flight carry's snapshot and each static level.
+// Each level is queried with its optimal PR-tree bound, so the total cost
+// is O(log(N/base) * sqrt(N/B) + T/B) I/Os. opt.Cancel is polled before
+// the in-memory scan and before every node visit of every level;
+// opt.Limit counts live results across all components. Node statistics
+// sum over the levels. Safe to call concurrently with mutations and
+// background carries.
+func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt rtree.RunOptions) (rtree.QueryStats, error) {
 	s, e := t.enter()
 	defer t.snap.SnapshotLeave(e)
-	return t.queryState(s, q, false, fn)
-}
-
-// Contained reports every live rectangle fully contained in q.
-func (t *Tree) Contained(q geom.Rect, fn func(geom.Item) bool) QueryStats {
-	s, e := t.enter()
-	defer t.snap.SnapshotLeave(e)
-	return t.queryState(s, q, true, fn)
-}
-
-// queryState runs a window (or containment) query against one state.
-// Buffer items are never tombstoned (Delete removes them physically), but
-// the merging snapshot and the levels must be filtered against dead.
-func (t *Tree) queryState(s *state, q geom.Rect, contain bool, fn func(geom.Item) bool) QueryStats {
-	var st QueryStats
-	match := func(r geom.Rect) bool {
-		if contain {
-			return q.Contains(r)
-		}
-		return q.Intersects(r)
-	}
-	for _, it := range s.buffer {
-		if match(it.Rect) {
-			st.Results++
-			if fn != nil && !fn(it) {
-				return st
-			}
+	var st rtree.QueryStats
+	if opt.Cancel != nil {
+		if err := opt.Cancel(); err != nil {
+			return st, err
 		}
 	}
-	for _, it := range s.merging {
+	// Buffer items are never tombstoned (Delete removes them physically
+	// and Insert revives a dead id in place), so one dead filter serves
+	// every component. visit stays on the stack: the levels' RunWindow
+	// only calls it.
+	stop := false
+	visit := func(it geom.Item) bool {
 		if _, gone := s.dead[it.ID]; gone {
-			continue
+			return true
 		}
-		if match(it.Rect) {
-			st.Results++
-			if fn != nil && !fn(it) {
-				return st
+		st.Results++
+		stop = (fn != nil && !fn(it)) || (opt.Limit > 0 && st.Results >= opt.Limit)
+		return !stop
+	}
+	for _, mem := range [2][]geom.Item{s.buffer, s.merging} {
+		for _, it := range mem {
+			if matches(q, it.Rect, contain) && !visit(it) {
+				return st, nil
 			}
 		}
 	}
-	v := t.grabVisitor()
-	defer t.releaseVisitor(v)
-	v.dead, v.st, v.fn, v.aborted = s.dead, &st, fn, false
 	for _, l := range s.levels {
 		if l == nil {
 			continue
 		}
-		ls, _ := l.RunWindow(q, contain, v.visit, rtree.RunOptions{})
-		st.LeavesVisited += ls.LeavesVisited
+		ls, err := l.RunWindow(q, contain, visit, rtree.RunOptions{Cancel: opt.Cancel})
 		st.NodesVisited += ls.NodesVisited
-		if v.aborted {
-			return st
+		st.LeavesVisited += ls.LeavesVisited
+		st.InternalVisited += ls.InternalVisited
+		if err != nil || stop {
+			return st, err
 		}
 	}
-	return st
+	return st, nil
 }
 
-// QueryCollect returns all live rectangles intersecting q.
-func (t *Tree) QueryCollect(q geom.Rect) []geom.Item {
-	var out []geom.Item
-	t.Query(q, func(it geom.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
+// matches is the window (or containment) predicate RunWindow applies to
+// in-memory items.
+func matches(q, r geom.Rect, contain bool) bool {
+	if contain {
+		return q.Contains(r)
+	}
+	return q.Intersects(r)
 }
 
-// Neighbor is a k-nearest-neighbor result: an item and its squared
-// distance to the query point.
-type Neighbor = rtree.Neighbor
-
-// Nearest returns the k live rectangles closest to (x, y), in ascending
-// (distance, id) order — the same deterministic order the static tree's
-// best-first search emits, so dynamized results are comparable
-// bit-for-bit with a one-shot build over the same live set.
-func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
+// RunNearest is rtree.Tree.RunNearest over every live rectangle: the k
+// closest to (x, y), in ascending (distance, id) order — the same
+// deterministic order the static tree's best-first search emits, so
+// dynamized results are comparable bit-for-bit with a one-shot build over
+// the same live set. opt.Cancel is polled before the in-memory scan and
+// passed to every level's search; opt.Limit caps k. Node statistics sum
+// over the levels.
+func (t *Tree) RunNearest(x, y float64, k int, opt rtree.RunOptions) ([]rtree.Neighbor, rtree.QueryStats, error) {
+	var st rtree.QueryStats
+	if opt.Limit > 0 && opt.Limit < k {
+		k = opt.Limit
+	}
+	if k <= 0 {
+		return nil, st, nil
+	}
 	s, e := t.enter()
 	defer t.snap.SnapshotLeave(e)
-	if k <= 0 {
-		return nil
+	if opt.Cancel != nil {
+		if err := opt.Cancel(); err != nil {
+			return nil, st, err
+		}
 	}
-	var cand []Neighbor
-	add := func(it geom.Item) {
-		cand = append(cand, Neighbor{Item: it, Dist2: pointRectDist2(x, y, it.Rect)})
-	}
-	for _, it := range s.buffer {
-		add(it)
-	}
-	for _, it := range s.merging {
-		if _, gone := s.dead[it.ID]; !gone {
-			add(it)
+	var cand []rtree.Neighbor
+	for _, mem := range [2][]geom.Item{s.buffer, s.merging} {
+		for _, it := range mem {
+			if _, gone := s.dead[it.ID]; !gone {
+				cand = append(cand, rtree.Neighbor{Item: it, Dist2: rtree.PointRectDist2(x, y, it.Rect)})
+			}
 		}
 	}
 	// A level's k nearest may all be tombstoned, so over-fetch by the
@@ -529,7 +474,13 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 		if l == nil {
 			continue
 		}
-		nb, _, _ := l.RunNearest(x, y, want, rtree.RunOptions{})
+		nb, ls, err := l.RunNearest(x, y, want, rtree.RunOptions{Cancel: opt.Cancel})
+		st.NodesVisited += ls.NodesVisited
+		st.LeavesVisited += ls.LeavesVisited
+		st.InternalVisited += ls.InternalVisited
+		if err != nil {
+			return nil, st, err
+		}
 		for _, n := range nb {
 			if _, gone := s.dead[n.Item.ID]; !gone {
 				cand = append(cand, n)
@@ -545,28 +496,8 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 	if len(cand) > k {
 		cand = cand[:k]
 	}
-	return cand
-}
-
-// pointRectDist2 returns the squared Euclidean distance from a point to
-// the nearest point of r (0 if inside) — the metric the static tree's
-// best-first search uses, duplicated here so merged results rank
-// identically.
-func pointRectDist2(x, y float64, r geom.Rect) float64 {
-	var dx, dy float64
-	switch {
-	case x < r.MinX:
-		dx = r.MinX - x
-	case x > r.MaxX:
-		dx = x - r.MaxX
-	}
-	switch {
-	case y < r.MinY:
-		dy = r.MinY - y
-	case y > r.MaxY:
-		dy = y - r.MaxY
-	}
-	return dx*dx + dy*dy
+	st.Results = len(cand)
+	return cand, st, nil
 }
 
 // Flush compacts the structure into a single static PR-tree (plus an empty

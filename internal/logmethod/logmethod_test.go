@@ -17,6 +17,16 @@ func newTree(base int) *Tree {
 	return New(pager, bulk.Options{Fanout: 16, MemoryItems: 4096}, base)
 }
 
+// collectWindow returns the live items a window query reports.
+func collectWindow(tr *Tree, q geom.Rect) []geom.Item {
+	var out []geom.Item
+	tr.RunWindow(q, false, func(it geom.Item) bool {
+		out = append(out, it)
+		return true
+	}, rtree.RunOptions{})
+	return out
+}
+
 func randItems(n int, seed int64) []geom.Item {
 	rng := rand.New(rand.NewSource(seed))
 	items := make([]geom.Item, n)
@@ -39,13 +49,13 @@ func checkAgainstBruteForce(t *testing.T, tr *Tree, universe []geom.Item, q geom
 		}
 	}
 	got := make(map[uint32]bool)
-	tr.Query(q, func(it geom.Item) bool {
+	tr.RunWindow(q, false, func(it geom.Item) bool {
 		if got[it.ID] {
 			t.Fatalf("duplicate result %d", it.ID)
 		}
 		got[it.ID] = true
 		return true
-	})
+	}, rtree.RunOptions{})
 	if len(got) != len(want) {
 		t.Fatalf("query %v: got %d, want %d", q, len(got), len(want))
 	}
@@ -104,7 +114,7 @@ func TestDeleteBasic(t *testing.T) {
 			t.Fatalf("len = %d after %d deletes", tr.Len(), i+1)
 		}
 	}
-	if got := tr.QueryCollect(geom.NewRect(0, 0, 2, 2)); len(got) != 0 {
+	if got := collectWindow(tr, geom.NewRect(0, 0, 2, 2)); len(got) != 0 {
 		t.Errorf("emptied tree returned %d items", len(got))
 	}
 }
@@ -193,7 +203,7 @@ func TestReviveTombstonedID(t *testing.T) {
 	if tr.Len() != 11 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	got := tr.QueryCollect(it.Rect)
+	got := collectWindow(tr, it.Rect)
 	found := false
 	for _, g := range got {
 		if g.ID == 7 {
@@ -264,10 +274,10 @@ func TestQueryEarlyStop(t *testing.T) {
 		tr.Insert(it)
 	}
 	count := 0
-	tr.Query(geom.NewRect(0, 0, 2, 2), func(geom.Item) bool {
+	tr.RunWindow(geom.NewRect(0, 0, 2, 2), false, func(geom.Item) bool {
 		count++
 		return count < 7
-	})
+	}, rtree.RunOptions{})
 	if count != 7 {
 		t.Errorf("early stop at %d", count)
 	}
@@ -328,7 +338,7 @@ func TestDynamicCompressedLayout(t *testing.T) {
 		x, y := rng.Float64(), rng.Float64()
 		q := geom.NewRect(x, y, x+0.2, y+0.2)
 		got := map[uint32]bool{}
-		tr.Query(q, func(it geom.Item) bool { got[it.ID] = true; return true })
+		tr.RunWindow(q, false, func(it geom.Item) bool { got[it.ID] = true; return true }, rtree.RunOptions{})
 		want := 0
 		for _, it := range live {
 			if q.Intersects(it.Rect) {

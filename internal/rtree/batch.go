@@ -7,7 +7,7 @@ import (
 
 // This file implements the batch query executor: a slice of window queries
 // fanned across a GOMAXPROCS-bounded worker pool. Each query runs whole on
-// one goroutine with the same traversal as Query, so per-query results and
+// one goroutine with the same traversal as RunWindow, so per-query results and
 // statistics are deterministic — identical to running the queries
 // sequentially — and with an unbounded (or disabled) page cache the
 // aggregate block-I/O is bit-identical too, because the pager's
@@ -24,11 +24,11 @@ import (
 func (t *Tree) QueryBatch(queries []geom.Rect, workers int, fn func(qi int, it geom.Item) bool) []QueryStats {
 	out := make([]QueryStats, len(queries))
 	parallel.Run(workers, len(queries), func(i int) {
-		if fn == nil {
-			out[i] = t.Query(queries[i], nil)
-			return
+		var visit func(geom.Item) bool
+		if fn != nil {
+			visit = func(it geom.Item) bool { return fn(i, it) }
 		}
-		out[i] = t.Query(queries[i], func(it geom.Item) bool { return fn(i, it) })
+		out[i], _ = t.RunWindow(queries[i], false, visit, RunOptions{})
 	})
 	return out
 }
@@ -36,7 +36,8 @@ func (t *Tree) QueryBatch(queries []geom.Rect, workers int, fn func(qi int, it g
 // SearchBatch runs every query concurrently on up to workers goroutines and
 // returns the matching items per query plus the per-query statistics, both
 // indexed like queries. Result slices preserve the traversal order, so
-// SearchBatch(qs, w)[i] equals QueryCollect(qs[i]) for any worker count.
+// SearchBatch(qs, w)[i] equals the items RunWindow reports for qs[i], in
+// order, for any worker count.
 func (t *Tree) SearchBatch(queries []geom.Rect, workers int) ([][]geom.Item, []QueryStats) {
 	results := make([][]geom.Item, len(queries))
 	stats := t.QueryBatch(queries, workers, func(qi int, it geom.Item) bool {

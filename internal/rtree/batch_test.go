@@ -49,7 +49,7 @@ func batchTestQueries(n int, seed int64) []geom.Rect {
 // TestQueryBatchMatchesSequential is the equivalence property test: for
 // every seed, cache capacity and worker count, SearchBatch must return the
 // same per-query items (in the same order) and the same per-query stats as
-// N sequential Query calls. With an eviction-free cache (unbounded or
+// N sequential RunWindow calls. With an eviction-free cache (unbounded or
 // disabled) the aggregate block-I/O must also be bit-identical to the
 // sequential run at every worker count.
 func TestQueryBatchMatchesSequential(t *testing.T) {
@@ -64,10 +64,10 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 			wantItems := make([][]geom.Item, len(queries))
 			wantStats := make([]QueryStats, len(queries))
 			for i, q := range queries {
-				wantStats[i] = tr.Query(q, func(it geom.Item) bool {
+				wantStats[i], _ = tr.RunWindow(q, false, func(it geom.Item) bool {
 					wantItems[i] = append(wantItems[i], it)
 					return true
-				})
+				}, RunOptions{})
 			}
 			serialIO := disk.Stats()
 
@@ -134,10 +134,11 @@ func TestConcurrentQueryStress(t *testing.T) {
 	wantCollect := make([][]geom.Item, len(queries))
 	wantContain := make([]int, len(queries))
 	for i, q := range queries {
-		wantCollect[i] = tr.QueryCollect(q)
-		wantContain[i] = tr.ContainmentQuery(q, nil).Results
+		wantCollect[i] = collectWindow(tr, q)
+		st, _ := tr.RunWindow(q, true, nil, RunOptions{})
+		wantContain[i] = st.Results
 	}
-	wantKNN, _ := tr.NearestNeighbors(0.5, 0.5, 10)
+	wantKNN, _, _ := tr.RunNearest(0.5, 0.5, 10, RunOptions{})
 	wantMBR := tr.MBR()
 
 	const workers = 8
@@ -167,17 +168,17 @@ func TestConcurrentQueryStress(t *testing.T) {
 				qi := (w + rep) % len(queries)
 				switch rep % 4 {
 				case 0:
-					if got := tr.QueryCollect(queries[qi]); !reflect.DeepEqual(got, wantCollect[qi]) {
-						t.Errorf("worker %d: QueryCollect(%d) diverged", w, qi)
+					if got := collectWindow(tr, queries[qi]); !reflect.DeepEqual(got, wantCollect[qi]) {
+						t.Errorf("worker %d: window query %d diverged", w, qi)
 						return
 					}
 				case 1:
-					if got := tr.ContainmentQuery(queries[qi], nil).Results; got != wantContain[qi] {
-						t.Errorf("worker %d: ContainmentQuery(%d) = %d, want %d", w, qi, got, wantContain[qi])
+					if st, _ := tr.RunWindow(queries[qi], true, nil, RunOptions{}); st.Results != wantContain[qi] {
+						t.Errorf("worker %d: containment query %d = %d, want %d", w, qi, st.Results, wantContain[qi])
 						return
 					}
 				case 2:
-					got, _ := tr.NearestNeighbors(0.5, 0.5, 10)
+					got, _, _ := tr.RunNearest(0.5, 0.5, 10, RunOptions{})
 					if len(got) != len(wantKNN) {
 						t.Errorf("worker %d: kNN returned %d", w, len(got))
 						return

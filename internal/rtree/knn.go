@@ -7,26 +7,9 @@ import (
 	"prtree/internal/storage"
 )
 
-// This file implements the other classic R-tree queries the paper alludes
-// to ("many types of queries can be answered efficiently using an
-// R-tree"): point stabbing, containment, and best-first k-nearest-neighbor
-// search (Hjaltason & Samet's incremental algorithm), all with the same
-// block-level accounting as window queries.
-
-// PointQuery reports every stored rectangle containing the point (x, y).
-func (t *Tree) PointQuery(x, y float64, fn func(geom.Item) bool) QueryStats {
-	return t.Query(geom.PointRect(x, y), fn)
-}
-
-// ContainmentQuery reports every stored rectangle fully contained in q.
-// Traversal prunes on intersection (a containing leaf entry must intersect
-// q) and filters on containment at the leaves. Like Query, it walks
-// zero-copy views with an explicit preorder stack; fn must not mutate the
-// tree. It is the no-options containment form of RunWindow.
-func (t *Tree) ContainmentQuery(q geom.Rect, fn func(geom.Item) bool) QueryStats {
-	st, _ := t.RunWindow(q, true, fn, RunOptions{})
-	return st
-}
+// This file holds the k-nearest-neighbor plumbing RunNearest (query.go)
+// uses: the result type, the point-to-rectangle metric and the pooled
+// best-first frontier.
 
 // Neighbor is one k-nearest-neighbor result with its squared distance
 // from the query point to the rectangle (0 when the point is inside).
@@ -35,24 +18,17 @@ type Neighbor struct {
 	Dist2 float64
 }
 
-// knnHeaps pools best-first search frontiers across NearestNeighbors calls
+// knnHeaps pools best-first search frontiers across RunNearest calls
 // — per-goroutine scratch, like the traversal stacks, so concurrent k-NN
 // queries never share a heap. Package-level because the heaps carry no
 // per-tree state.
 var knnHeaps = sync.Pool{New: func() interface{} { h := make(distHeap, 0, 64); return &h }}
 
-// NearestNeighbors returns the k stored rectangles closest to (x, y) in
-// ascending distance order. It is the no-options form of RunNearest; see
-// query.go for the best-first search and deterministic tie-breaking
-// guarantees.
-func (t *Tree) NearestNeighbors(x, y float64, k int) ([]Neighbor, QueryStats) {
-	out, st, _ := t.RunNearest(x, y, k, RunOptions{})
-	return out, st
-}
-
-// pointRectDist2 returns the squared Euclidean distance from a point to
-// the nearest point of r (0 if inside).
-func pointRectDist2(x, y float64, r geom.Rect) float64 {
+// PointRectDist2 returns the squared Euclidean distance from a point to
+// the nearest point of r (0 if inside) — the metric best-first search
+// ranks by, exported so callers merging k-NN results from several sources
+// (the logarithmic method's buffer and levels) rank identically.
+func PointRectDist2(x, y float64, r geom.Rect) float64 {
 	var dx, dy float64
 	switch {
 	case x < r.MinX:

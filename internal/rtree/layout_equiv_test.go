@@ -93,19 +93,19 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 						x, y := rng.Float64(), rng.Float64()
 						q := geom.NewRect(x, y, x+rng.Float64()*0.2, y+rng.Float64()*0.2)
 						equalItemSets(t, fmt.Sprintf("query %v", q),
-							raw.QueryCollect(q), comp.QueryCollect(q))
+							collectWindow(raw, q), collectWindow(comp, q))
 						if err := CheckQueryAgainstBruteForce(comp, items, q); err != nil {
 							t.Fatal(err)
 						}
 
 						var rc, cc []geom.Item
-						raw.ContainmentQuery(q, func(it geom.Item) bool { rc = append(rc, it); return true })
-						comp.ContainmentQuery(q, func(it geom.Item) bool { cc = append(cc, it); return true })
+						raw.RunWindow(q, true, func(it geom.Item) bool { rc = append(rc, it); return true }, RunOptions{})
+						comp.RunWindow(q, true, func(it geom.Item) bool { cc = append(cc, it); return true }, RunOptions{})
 						equalItemSets(t, fmt.Sprintf("containment %v", q), rc, cc)
 
 						k := 1 + rng.Intn(20)
-						rn, _ := raw.NearestNeighbors(x, y, k)
-						cn, _ := comp.NearestNeighbors(x, y, k)
+						rn, _, _ := raw.RunNearest(x, y, k, RunOptions{})
+						cn, _, _ := comp.RunNearest(x, y, k, RunOptions{})
 						if len(rn) != len(cn) {
 							t.Fatalf("knn(%g,%g,%d): %d vs %d results", x, y, k, len(rn), len(cn))
 						}
@@ -191,7 +191,7 @@ func TestLayoutEquivalenceUnderUpdates(t *testing.T) {
 						x, y := rng.Float64(), rng.Float64()
 						q := geom.NewRect(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3)
 						equalItemSets(t, fmt.Sprintf("query %v", q),
-							raw.QueryCollect(q), comp.QueryCollect(q))
+							collectWindow(raw, q), collectWindow(comp, q))
 					}
 					equalItemSets(t, "full scan", raw.Items(), comp.Items())
 				})

@@ -100,8 +100,8 @@ func TestPersistReopenProperty(t *testing.T) {
 						q := geom.NewRect(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3)
 						// Same tree shape on both sides, so even the
 						// result ORDER must match exactly.
-						a := orig.QueryCollect(q)
-						b := reopened.QueryCollect(q)
+						a := collectWindow(orig, q)
+						b := collectWindow(reopened, q)
 						if len(a) != len(b) {
 							t.Fatalf("query %v: %d vs %d results", q, len(a), len(b))
 						}
@@ -110,8 +110,8 @@ func TestPersistReopenProperty(t *testing.T) {
 								t.Fatalf("query %v result %d: %v != %v", q, j, a[j], b[j])
 							}
 						}
-						rn, _ := orig.NearestNeighbors(x, y, 10)
-						ln, _ := reopened.NearestNeighbors(x, y, 10)
+						rn, _, _ := orig.RunNearest(x, y, 10, RunOptions{})
+						ln, _, _ := reopened.RunNearest(x, y, 10, RunOptions{})
 						if len(rn) != len(ln) {
 							t.Fatalf("knn length %d vs %d", len(rn), len(ln))
 						}

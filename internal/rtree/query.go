@@ -178,7 +178,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 			for i, cnt := 0, v.count(); i < cnt; i++ {
 				r := v.rectAt(i)
 				heap.Push(pq, distEntry{
-					dist2: pointRectDist2(x, y, r),
+					dist2: PointRectDist2(x, y, r),
 					item:  geom.Item{Rect: r, ID: v.refAt(i)},
 				})
 			}
@@ -188,7 +188,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 				var hints [8]storage.PageID
 				nh := 0
 				for i, cnt := 0, v.count(); i < cnt; i++ {
-					d := pointRectDist2(x, y, v.rectAt(i))
+					d := PointRectDist2(x, y, v.rectAt(i))
 					child := storage.PageID(v.refAt(i))
 					heap.Push(pq, distEntry{dist2: d, page: child, isNode: true})
 					if d == 0 && nh < len(hints) {
@@ -202,7 +202,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 			} else {
 				for i, cnt := 0, v.count(); i < cnt; i++ {
 					heap.Push(pq, distEntry{
-						dist2:  pointRectDist2(x, y, v.rectAt(i)),
+						dist2:  PointRectDist2(x, y, v.rectAt(i)),
 						page:   storage.PageID(v.refAt(i)),
 						isNode: true,
 					})

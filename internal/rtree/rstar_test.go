@@ -94,8 +94,10 @@ func TestRStarBeatsGuttmanOnClusteredInserts(t *testing.T) {
 	var gLeaves, rLeaves int
 	for i := 0; i < 50; i++ {
 		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64()*0.2, rng.Float64()*0.2)
-		gLeaves += guttman.QueryCount(q).LeavesVisited
-		rLeaves += rstar.QueryCount(q).LeavesVisited
+		gst, _ := guttman.RunWindow(q, false, nil, RunOptions{})
+		rst, _ := rstar.RunWindow(q, false, nil, RunOptions{})
+		gLeaves += gst.LeavesVisited
+		rLeaves += rst.LeavesVisited
 	}
 	if float64(rLeaves) > 1.2*float64(gLeaves) {
 		t.Errorf("R* visited %d leaves, Guttman %d — R* should not be worse", rLeaves, gLeaves)
@@ -111,7 +113,7 @@ func TestRStarDuplicates(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.QueryCollect(r); len(got) != 60 {
+	if got := collectWindow(tr, r); len(got) != 60 {
 		t.Errorf("found %d of 60 duplicates", len(got))
 	}
 }

@@ -41,10 +41,9 @@ const (
 // Tree is a paged R-tree. All node accesses go through the pager so that
 // block I/O is counted on the underlying simulated disk.
 //
-// Reads come in two flavors. The query paths (Query, PointQuery,
-// ContainmentQuery, NearestNeighbors, Walk, Validate, MBR) use zero-copy
-// nodeViews over the pager's cached bytes, so a cache-hit node visit
-// allocates nothing. The mutation paths (Insert, Delete) materialize nodes
+// Reads come in two flavors. The query paths (RunWindow, RunNearest,
+// Walk, Validate, MBR) use zero-copy nodeViews over the pager's cached
+// bytes, so a cache-hit node visit allocates nothing. The mutation paths (Insert, Delete) materialize nodes
 // and memoize them in the pager's decoded cache, kept coherent by
 // write-through in writeNode and invalidation in freeNode and the pager
 // itself. Both flavors call Pager.Read first, so block-I/O accounting is
@@ -221,40 +220,12 @@ func (t *Tree) releaseStack(sp *[]storage.PageID, s []storage.PageID) {
 	t.stacks.Put(sp)
 }
 
-// QueryStats reports the work done by one window query.
+// QueryStats reports the work done by one query of any kind.
 type QueryStats struct {
 	NodesVisited    int // total nodes touched, including the root
 	LeavesVisited   int
 	InternalVisited int
 	Results         int
-}
-
-// Query reports every stored item intersecting q to fn, in unspecified
-// order. fn returning false stops the query early. The returned stats count
-// node visits regardless of cache state; block-level I/O is tracked by the
-// backend underneath the pager. fn must not mutate the tree: the traversal
-// reads node entries in place from the page cache.
-//
-// Query is the no-options form of RunWindow; see query.go for the
-// traversal-order, layout and accounting guarantees.
-func (t *Tree) Query(q geom.Rect, fn func(geom.Item) bool) QueryStats {
-	st, _ := t.RunWindow(q, false, fn, RunOptions{})
-	return st
-}
-
-// QueryCollect returns all items intersecting q.
-func (t *Tree) QueryCollect(q geom.Rect) []geom.Item {
-	var out []geom.Item
-	t.Query(q, func(it geom.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}
-
-// QueryCount returns only the query statistics, discarding results.
-func (t *Tree) QueryCount(q geom.Rect) QueryStats {
-	return t.Query(q, nil)
 }
 
 // Walk visits every node top-down, calling fn with the node's page, level

@@ -28,6 +28,17 @@ func randItems(n int, seed int64) []geom.Item {
 	return items
 }
 
+// collectWindow returns the items a window query reports, in traversal
+// order.
+func collectWindow(tr *Tree, q geom.Rect) []geom.Item {
+	var out []geom.Item
+	tr.RunWindow(q, false, func(it geom.Item) bool {
+		out = append(out, it)
+		return true
+	}, RunOptions{})
+	return out
+}
+
 // buildPacked bulk-loads items in slice order with full leaves — a trivial
 // loader used to exercise the container independently of the real loaders.
 func buildPacked(tb testing.TB, items []geom.Item, fanout int) *Tree {
@@ -96,7 +107,7 @@ func TestEmptyTree(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Errorf("empty tree invalid: %v", err)
 	}
-	st := tr.QueryCount(geom.NewRect(0, 0, 1, 1))
+	st, _ := tr.RunWindow(geom.NewRect(0, 0, 1, 1), false, nil, RunOptions{})
 	if st.Results != 0 || st.NodesVisited != 1 {
 		t.Errorf("empty query stats: %+v", st)
 	}
@@ -124,10 +135,10 @@ func TestQueryEarlyStop(t *testing.T) {
 	items := randItems(500, 3)
 	tr := buildPacked(t, items, 8)
 	count := 0
-	tr.Query(geom.NewRect(0, 0, 1, 1), func(geom.Item) bool {
+	tr.RunWindow(geom.NewRect(0, 0, 1, 1), false, func(geom.Item) bool {
 		count++
 		return count < 10
-	})
+	}, RunOptions{})
 	if count != 10 {
 		t.Errorf("early stop visited %d results", count)
 	}
@@ -136,7 +147,7 @@ func TestQueryEarlyStop(t *testing.T) {
 func TestQueryStatsLeafAccounting(t *testing.T) {
 	items := randItems(1000, 4)
 	tr := buildPacked(t, items, 10)
-	st := tr.QueryCount(geom.NewRect(0, 0, 1.1, 1.1))
+	st, _ := tr.RunWindow(geom.NewRect(0, 0, 1.1, 1.1), false, nil, RunOptions{})
 	if st.Results != 1000 {
 		t.Errorf("full query results = %d", st.Results)
 	}
@@ -211,7 +222,7 @@ func TestPinInternalMakesQueriesLeafOnly(t *testing.T) {
 		t.Fatal("expected internal nodes to pin")
 	}
 	disk.ResetStats()
-	st := tr.QueryCount(geom.NewRect(0.2, 0.2, 0.4, 0.4))
+	st, _ := tr.RunWindow(geom.NewRect(0.2, 0.2, 0.4, 0.4), false, nil, RunOptions{})
 	reads := disk.Stats().Reads
 	if int(reads) != st.LeavesVisited {
 		t.Errorf("disk reads %d != leaves visited %d with pinned internals", reads, st.LeavesVisited)
@@ -307,7 +318,7 @@ func TestQueryIOEqualsNodesWithoutCache(t *testing.T) {
 	}
 	tr := b.FinishPacked(leaves)
 	disk.ResetStats()
-	st := tr.QueryCount(geom.NewRect(0.1, 0.1, 0.3, 0.3))
+	st, _ := tr.RunWindow(geom.NewRect(0.1, 0.1, 0.3, 0.3), false, nil, RunOptions{})
 	if got := disk.Stats().Reads; int(got) != st.NodesVisited {
 		t.Errorf("uncached reads %d != nodes visited %d", got, st.NodesVisited)
 	}

@@ -68,7 +68,7 @@ func TestInsertDuplicateRects(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.QueryCollect(r)
+	got := collectWindow(tr, r)
 	if len(got) != 50 {
 		t.Errorf("got %d duplicates back", len(got))
 	}
@@ -204,7 +204,7 @@ func TestCondenseReinsertsOrphans(t *testing.T) {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	for i := 1; i < 64; i += 2 {
-		got := tr.QueryCollect(items[i].Rect)
+		got := collectWindow(tr, items[i].Rect)
 		found := false
 		for _, g := range got {
 			if g.ID == items[i].ID {
@@ -257,7 +257,7 @@ func TestLinearSplitDegenerateAllEqual(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.QueryCollect(r); len(got) != 20 {
+	if got := collectWindow(tr, r); len(got) != 20 {
 		t.Errorf("got %d of 20 equal points", len(got))
 	}
 }

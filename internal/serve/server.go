@@ -190,12 +190,23 @@ func errResult(code uint16, msg string) dispatchResult {
 }
 
 // dispatch runs one decoded request end to end: drain check, admission,
-// deadline, scatter-gather, metrics. Both transports funnel through it.
+// deadline, scatter-gather, metrics. Both transports funnel through it;
+// the binary one holds the in-flight bracket itself (see handleConn) and
+// calls serveAdmitted directly.
 func (s *Server) dispatch(req Request) dispatchResult {
 	if !s.begin() {
-		return errResult(CodeShuttingDown, "server is draining")
+		return errDraining
 	}
 	defer s.end()
+	return s.serveAdmitted(req)
+}
+
+// errDraining answers a request that arrives once Shutdown has begun.
+var errDraining = errResult(CodeShuttingDown, "server is draining")
+
+// serveAdmitted is dispatch after the drain check; the caller holds an
+// in-flight bracket (begin/end) around it.
+func (s *Server) serveAdmitted(req Request) dispatchResult {
 	if err := s.adm.acquire(req.Tenant); err != nil {
 		s.errCount.Add(1)
 		return errResult(CodeOverloaded, err.Error())
@@ -374,7 +385,14 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		out := s.dispatch(req)
+		// The in-flight bracket spans the response write: Shutdown closes
+		// connections once in-flight requests drain, and closing before
+		// the flush would drop a response the server already computed.
+		admitted := s.begin()
+		out := errDraining
+		if admitted {
+			out = s.serveAdmitted(req)
+		}
 		if out.code != 0 {
 			buf = AppendErrResponse(buf[:0], req.Op, out.code, out.msg)
 		} else {
@@ -383,10 +401,14 @@ func (s *Server) handleConn(conn net.Conn) {
 		if s.cfg.ConnTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.ConnTimeout))
 		}
-		if err := WriteFrame(bw, buf); err != nil {
-			return
+		err = WriteFrame(bw, buf)
+		if err == nil {
+			err = bw.Flush()
 		}
-		if err := bw.Flush(); err != nil {
+		if admitted {
+			s.end()
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -811,11 +833,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 
-	// Wait for in-flight binary requests, then cut idle connections so
-	// their handler goroutines unblock from ReadFrame.
-	if err := waitCtx(ctx, &s.inflight); err != nil {
-		return err
-	}
+	// Wait for in-flight binary requests (each until its response is
+	// flushed), then cut idle connections so their handler goroutines
+	// unblock from ReadFrame. Past the drain deadline every connection is
+	// cut, so a peer that stopped reading cannot pin its handler.
+	drainErr := waitCtx(ctx, &s.inflight)
 	s.mu.Lock()
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -824,6 +846,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
+	}
+	if drainErr != nil {
+		return drainErr
 	}
 	if err := waitCtx(ctx, &s.connWG); err != nil {
 		return err

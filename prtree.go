@@ -23,7 +23,7 @@
 //
 // # Queries
 //
-// The v2 query surface is one composable Query value — Window, Point,
+// The query surface is one composable Query value — Window, Point,
 // Contained or Nearest, refined with WithLimit, WithContext and WithStats
 // — consumed through a callback (Run), a range-over-func iterator (Iter)
 // or a slice (Collect):
@@ -35,9 +35,7 @@
 //	}
 //	_ = tree.Close() // persists in place; reopen with prtree.Open
 //
-// The v1 entry points (Query, Search, SearchPoint, SearchContained,
-// NearestNeighbors) remain as thin deprecated shims over the same
-// executor.
+// A Dynamic index takes the same Query values through the same methods.
 //
 // The read path is safe for many concurrent goroutines — the page cache is
 // lock-striped and per-traversal scratch is pooled — and QueryBatch /
@@ -49,8 +47,8 @@ package prtree
 import (
 	"fmt"
 	"io"
+	"iter"
 	"sync"
-	"sync/atomic"
 
 	"prtree/internal/bulk"
 	"prtree/internal/compact"
@@ -447,12 +445,12 @@ func Load(r io.Reader, opts *Options) (*Tree, error) {
 // built on the external logarithmic method the paper proposes for updates
 // (Sections 1.2 and 4).
 //
-// The read path (Query, Search, SearchPoint, SearchContained,
-// NearestNeighbors, SearchBatch, Len) is safe for many concurrent
-// goroutines and never blocks on writers: each query runs against an
-// immutable copy-on-write snapshot of the component directory, and the
-// storage layer's epoch pins keep a snapshot's pages byte-stable until its
-// last reader drains. Writers (InsertE, DeleteE, FlushE) serialize among
+// The read path (Run, Iter, Collect, Count, CollectNearest, Len) takes
+// the same Query values as Tree, is safe for many concurrent goroutines
+// and never blocks on writers: each query runs against an immutable
+// copy-on-write snapshot of the component directory, and the storage
+// layer's epoch pins keep a snapshot's pages byte-stable until its last
+// reader drains. Writers (InsertE, DeleteE, FlushE) serialize among
 // themselves. With Options.BackgroundCompaction the component merges run
 // on a supervisor goroutine (see CompactionStats) instead of inside
 // InsertE.
@@ -469,8 +467,9 @@ type Dynamic struct {
 	recovery *storage.RecoveryInfo
 }
 
-// DynamicStats mirrors logmethod query statistics.
-type DynamicStats = logmethod.QueryStats
+// DynamicStats is the statistics type of the dynamic index's deprecated
+// Query shim: the same QueryStats every query reports.
+type DynamicStats = QueryStats
 
 // CompactionStats is the background compactor's counter snapshot — merge
 // outcomes, items rewritten vs newly absorbed (write amplification), and
@@ -613,73 +612,41 @@ func (d *Dynamic) Delete(it Item) bool {
 	return ok
 }
 
+// Run is Tree.Run over the live items: buffer, any in-flight merge's
+// snapshot and every static level, each level with the PR-tree's optimal
+// bound. WithContext is polled at every node visit of every level, and
+// WithLimit counts results across all of them. Safe for any number of
+// concurrent callers, alongside writers and background merges.
+func (d *Dynamic) Run(q Query, fn func(Item) bool) error { return run(executor{dyn: d.inner}, q, fn) }
+
+// Iter is Tree.Iter over the live items.
+func (d *Dynamic) Iter(q Query) iter.Seq[Item] { return iterate(executor{dyn: d.inner}, q) }
+
+// Collect is Tree.Collect over the live items.
+func (d *Dynamic) Collect(q Query) ([]Item, error) { return collect(executor{dyn: d.inner}, q) }
+
+// Count is Tree.Count over the live items.
+func (d *Dynamic) Count(q Query) (int, error) { return count(executor{dyn: d.inner}, q) }
+
+// CollectNearest is Tree.CollectNearest over the live items: ascending
+// (distance, ID) order, bit-identical to a static tree over the same set.
+func (d *Dynamic) CollectNearest(q Query) ([]Neighbor, error) {
+	return collectNearest(executor{dyn: d.inner}, q)
+}
+
 // Query reports every live item intersecting q.
-func (d *Dynamic) Query(q Rect, fn func(Item) bool) DynamicStats {
-	return d.inner.Query(q, fn)
+//
+// Deprecated: use Run with a Window query; statistics come from WithStats.
+func (d *Dynamic) Query(q Rect, fn func(Item) bool) (st DynamicStats) {
+	_ = d.Run(Window(q).WithStats(&st), fn)
+	return st
 }
 
-// Search returns all live items intersecting q.
-func (d *Dynamic) Search(q Rect) []Item { return d.inner.QueryCollect(q) }
-
-// SearchPoint returns all live items containing the point (x, y).
-func (d *Dynamic) SearchPoint(x, y float64) []Item {
-	var out []Item
-	d.inner.Query(Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}
-
-// SearchContained returns all live items fully contained in q.
-func (d *Dynamic) SearchContained(q Rect) []Item {
-	var out []Item
-	d.inner.Contained(q, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}
-
-// NearestNeighbors returns the k live items nearest to (x, y) by MBR
-// distance, closest first (ties broken by item ID).
+// NearestNeighbors returns the k live items nearest to (x, y).
+//
+// Deprecated: use CollectNearest with a Nearest query.
 func (d *Dynamic) NearestNeighbors(x, y float64, k int) []Neighbor {
-	return d.inner.Nearest(x, y, k)
-}
-
-// SearchBatch runs the window queries across a bounded worker pool
-// (workers clamped to [1, len(queries)]) and returns the per-query result
-// slices in input order, identical to running each Search sequentially.
-// All queries observe the same kind of snapshot isolation as single
-// queries; a concurrent writer's mutations are each either fully visible
-// to a given query or not at all.
-func (d *Dynamic) SearchBatch(queries []Rect, workers int) [][]Item {
-	out := make([][]Item, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	var next atomic.Uint32
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out[i] = d.inner.QueryCollect(queries[i])
-			}
-		}()
-	}
-	wg.Wait()
+	out, _ := d.CollectNearest(Nearest(x, y, k))
 	return out
 }
 

@@ -23,6 +23,15 @@ func randItems(n int, seed int64) []Item {
 	return items
 }
 
+// must unwraps a query result. Queries without a context cannot fail, so
+// an error here is a bug in the read path.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestBulkAndSearch(t *testing.T) {
 	items := randItems(5000, 1)
 	tree := Bulk(items, nil)
@@ -41,7 +50,7 @@ func TestBulkAndSearch(t *testing.T) {
 				want++
 			}
 		}
-		if got := tree.Search(q); len(got) != want {
+		if got := must(tree.Collect(Window(q))); len(got) != want {
 			t.Fatalf("query %d: got %d, want %d", i, len(got), want)
 		}
 	}
@@ -63,7 +72,8 @@ func TestAllPublicLoaders(t *testing.T) {
 func TestQueryEarlyStopAndStats(t *testing.T) {
 	tree := Bulk(randItems(2000, 4), &Options{Fanout: 16})
 	count := 0
-	st := tree.Query(NewRect(0, 0, 1.1, 1.1), func(Item) bool {
+	var st QueryStats
+	_ = tree.Run(Window(NewRect(0, 0, 1.1, 1.1)).WithStats(&st), func(Item) bool {
 		count++
 		return count < 10
 	})
@@ -83,7 +93,7 @@ func TestInsertDelete(t *testing.T) {
 		t.Fatalf("len = %d", tree.Len())
 	}
 	found := false
-	for _, it := range tree.Search(extra.Rect) {
+	for _, it := range must(tree.Collect(Window(extra.Rect))) {
 		if it.ID == extra.ID {
 			found = true
 		}
@@ -109,7 +119,8 @@ func TestIOStatsAndPinning(t *testing.T) {
 		t.Fatal("no internal nodes pinned")
 	}
 	tree.ResetIOStats()
-	st := tree.Query(NewRect(0.2, 0.2, 0.4, 0.4), nil)
+	var st QueryStats
+	_ = tree.Run(Window(NewRect(0.2, 0.2, 0.4, 0.4)).WithStats(&st), nil)
 	io := tree.IOStats()
 	if io.Writes != 0 {
 		t.Errorf("query wrote %d blocks", io.Writes)
@@ -164,7 +175,7 @@ func TestDynamicIndex(t *testing.T) {
 				want++
 			}
 		}
-		if got := d.Search(q); len(got) != want {
+		if got := must(d.Collect(Window(q))); len(got) != want {
 			t.Fatalf("dynamic query: got %d, want %d", len(got), want)
 		}
 	}
@@ -200,7 +211,7 @@ func TestRStarUpdateHeuristic(t *testing.T) {
 			want++
 		}
 	}
-	if got := tree.Search(q); len(got) != want {
+	if got := must(tree.Collect(Window(q))); len(got) != want {
 		t.Fatalf("R* tree query: got %d, want %d", len(got), want)
 	}
 }
@@ -223,8 +234,8 @@ func TestSearchPointAndContained(t *testing.T) {
 			wantPoint++
 		}
 	}
-	if got := tree.SearchPoint(x, y); len(got) != wantPoint {
-		t.Errorf("SearchPoint: got %d, want %d", len(got), wantPoint)
+	if got := must(tree.Collect(Point(x, y))); len(got) != wantPoint {
+		t.Errorf("point query: got %d, want %d", len(got), wantPoint)
 	}
 	q := NewRect(0.2, 0.2, 0.8, 0.8)
 	wantCont := 0
@@ -233,15 +244,15 @@ func TestSearchPointAndContained(t *testing.T) {
 			wantCont++
 		}
 	}
-	if got := tree.SearchContained(q); len(got) != wantCont {
-		t.Errorf("SearchContained: got %d, want %d", len(got), wantCont)
+	if got := must(tree.Collect(Contained(q))); len(got) != wantCont {
+		t.Errorf("containment query: got %d, want %d", len(got), wantCont)
 	}
 }
 
 func TestNearestNeighborsPublic(t *testing.T) {
 	items := randItems(1000, 15)
 	tree := Bulk(items, &Options{Fanout: 16})
-	ns := tree.NearestNeighbors(0.5, 0.5, 7)
+	ns := must(tree.CollectNearest(Nearest(0.5, 0.5, 7)))
 	if len(ns) != 7 {
 		t.Fatalf("kNN returned %d", len(ns))
 	}
@@ -267,7 +278,7 @@ func TestSaveLoadPublic(t *testing.T) {
 		t.Fatalf("metadata mismatch after load")
 	}
 	q := NewRect(0.3, 0.3, 0.6, 0.6)
-	a, b := tree.Search(q), got.Search(q)
+	a, b := must(tree.Collect(Window(q))), must(got.Collect(Window(q)))
 	if len(a) != len(b) {
 		t.Fatalf("loaded tree query: %d vs %d", len(b), len(a))
 	}
@@ -315,8 +326,8 @@ func TestSearchBatchMatchesSequentialFig12(t *testing.T) {
 		wantResults := make([][]Item, len(queries))
 		wantStats := make([]QueryStats, len(queries))
 		for i, q := range queries {
-			wantResults[i] = tree.Search(q)
-			wantStats[i] = tree.Query(q, nil)
+			wantResults[i] = must(tree.Collect(Window(q)))
+			_ = tree.Run(Window(q).WithStats(&wantStats[i]), nil)
 		}
 		serialIO := tree.IOStats()
 		if serialIO.Reads == 0 {
@@ -391,7 +402,7 @@ func TestEmptyTree(t *testing.T) {
 	if tree.Len() != 0 {
 		t.Errorf("len = %d", tree.Len())
 	}
-	if got := tree.Search(NewRect(0, 0, 1, 1)); len(got) != 0 {
+	if got := must(tree.Collect(Window(NewRect(0, 0, 1, 1)))); len(got) != 0 {
 		t.Errorf("empty search = %v", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"iter"
 
 	"prtree/internal/geom"
+	"prtree/internal/logmethod"
 	"prtree/internal/rtree"
 )
 
@@ -13,7 +14,8 @@ import (
 // containment or k-nearest-neighbor) plus per-query options. Build one
 // with Window, Point, Contained or Nearest, refine it with the With*
 // methods (each returns a derived value; a Query is immutable and
-// reusable), and consume it with Tree.Run, Tree.Iter or Tree.Collect:
+// reusable), and consume it with Run, Iter, Collect, Count or
+// CollectNearest on a Tree or a Dynamic index:
 //
 //	q := prtree.Window(rect).WithLimit(100).WithContext(ctx)
 //	for it := range tree.Iter(q) {
@@ -22,6 +24,9 @@ import (
 //
 // Every kind runs on the same worst-case-optimal executor with identical
 // block-I/O accounting; the options only bound or observe the traversal.
+// On a Dynamic index the executor fans out over the logarithmic method's
+// buffer and static levels, and WithLimit counts results across all of
+// them.
 type Query struct {
 	kind  queryKind
 	rect  Rect
@@ -102,6 +107,95 @@ func cancelPoll(ctx context.Context) func() error {
 	}
 }
 
+// executor is the one dispatcher behind Tree and Dynamic: exactly one
+// field is set, and both index kinds answer every query kind through
+// RunWindow and RunNearest. It is a concrete switch rather than an
+// interface so callbacks stay off the heap — escape analysis sees through
+// direct calls, not dynamic ones.
+type executor struct {
+	tree *rtree.Tree
+	dyn  *logmethod.Tree
+}
+
+func (e executor) runWindow(q Rect, contain bool, fn func(Item) bool, opt rtree.RunOptions) (QueryStats, error) {
+	if e.dyn != nil {
+		return e.dyn.RunWindow(q, contain, fn, opt)
+	}
+	return e.tree.RunWindow(q, contain, fn, opt)
+}
+
+func (e executor) runNearest(x, y float64, k int, opt rtree.RunOptions) ([]Neighbor, QueryStats, error) {
+	if e.dyn != nil {
+		return e.dyn.RunNearest(x, y, k, opt)
+	}
+	return e.tree.RunNearest(x, y, k, opt)
+}
+
+// Neighbor is one nearest-neighbor result with its squared distance.
+type Neighbor = rtree.Neighbor
+
+// runOptions translates q's options for the executor.
+func (q Query) runOptions() rtree.RunOptions {
+	return rtree.RunOptions{Limit: q.limit, Cancel: cancelPoll(q.ctx)}
+}
+
+// run executes q on e; it is the body of Tree.Run and Dynamic.Run.
+func run(e executor, q Query, fn func(Item) bool) error {
+	if q.kind == queryNearest {
+		out, err := collectNearest(e, q)
+		if err == nil && fn != nil {
+			for _, nb := range out {
+				if !fn(nb.Item) {
+					break
+				}
+			}
+		}
+		return err
+	}
+	st, err := e.runWindow(q.rect, q.kind == queryContained, fn, q.runOptions())
+	if q.stats != nil {
+		*q.stats = st
+	}
+	return err
+}
+
+// collectNearest is the body of Tree.CollectNearest and
+// Dynamic.CollectNearest.
+func collectNearest(e executor, q Query) ([]Neighbor, error) {
+	if q.kind != queryNearest {
+		return nil, fmt.Errorf("prtree: CollectNearest requires a Nearest query")
+	}
+	out, st, err := e.runNearest(q.x, q.y, q.k, q.runOptions())
+	if q.stats != nil {
+		*q.stats = st
+	}
+	return out, err
+}
+
+func iterate(e executor, q Query) iter.Seq[Item] {
+	return func(yield func(Item) bool) {
+		_ = run(e, q, yield)
+	}
+}
+
+func collect(e executor, q Query) ([]Item, error) {
+	var out []Item
+	err := run(e, q, func(it Item) bool {
+		out = append(out, it)
+		return true
+	})
+	return out, err
+}
+
+func count(e executor, q Query) (int, error) {
+	var st QueryStats
+	if q.stats == nil {
+		q.stats = &st
+	}
+	err := run(e, q, nil)
+	return q.stats.Results, err
+}
+
 // Run executes q, reporting each matching item to fn (return false to stop
 // early; fn may be nil to count only). Window and containment results come
 // in unspecified order; Nearest results in ascending distance order. The
@@ -111,31 +205,7 @@ func cancelPoll(ctx context.Context) func() error {
 //
 // fn must not mutate the tree, and Run is safe for any number of
 // concurrent callers (the read path shares no traversal state).
-func (t *Tree) Run(q Query, fn func(Item) bool) error {
-	opt := rtree.RunOptions{Limit: q.limit, Cancel: cancelPoll(q.ctx)}
-	var st QueryStats
-	var err error
-	switch q.kind {
-	case queryNearest:
-		var out []rtree.Neighbor
-		out, st, err = t.inner.RunNearest(q.x, q.y, q.k, opt)
-		if err == nil && fn != nil {
-			for _, nb := range out {
-				if !fn(nb.Item) {
-					break
-				}
-			}
-		}
-	case queryContained:
-		st, err = t.inner.RunWindow(q.rect, true, fn, opt)
-	default:
-		st, err = t.inner.RunWindow(q.rect, false, fn, opt)
-	}
-	if q.stats != nil {
-		*q.stats = st
-	}
-	return err
-}
+func (t *Tree) Run(q Query, fn func(Item) bool) error { return run(executor{tree: t.inner}, q, fn) }
 
 // Iter returns a pull iterator over q's results, for use with Go 1.23
 // range-over-func:
@@ -152,32 +222,14 @@ func (t *Tree) Run(q Query, fn func(Item) bool) error {
 // Cancellation (WithContext) ends iteration early without a signal — use
 // Run when the caller must distinguish "done" from "canceled", or attach a
 // WithStats sink and inspect it after the loop.
-func (t *Tree) Iter(q Query) iter.Seq[Item] {
-	return func(yield func(Item) bool) {
-		_ = t.Run(q, yield)
-	}
-}
+func (t *Tree) Iter(q Query) iter.Seq[Item] { return iterate(executor{tree: t.inner}, q) }
 
 // Collect executes q and returns all results as a slice.
-func (t *Tree) Collect(q Query) ([]Item, error) {
-	var out []Item
-	err := t.Run(q, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out, err
-}
+func (t *Tree) Collect(q Query) ([]Item, error) { return collect(executor{tree: t.inner}, q) }
 
 // Count executes q discarding results and returns the result count. A
 // WithStats sink on q is honored, not replaced.
-func (t *Tree) Count(q Query) (int, error) {
-	var st QueryStats
-	if q.stats == nil {
-		q.stats = &st
-	}
-	err := t.Run(q, nil)
-	return q.stats.Results, err
-}
+func (t *Tree) Count(q Query) (int, error) { return count(executor{tree: t.inner}, q) }
 
 // CollectNearest executes a Nearest query and returns the neighbors with
 // their squared distances, in ascending (distance, ID) order. It is the
@@ -186,77 +238,13 @@ func (t *Tree) Count(q Query) (int, error) {
 // and honors WithContext, WithLimit and WithStats like every other
 // consumer. Non-Nearest queries are rejected.
 func (t *Tree) CollectNearest(q Query) ([]Neighbor, error) {
-	if q.kind != queryNearest {
-		return nil, fmt.Errorf("prtree: CollectNearest requires a Nearest query")
-	}
-	out, st, err := t.inner.RunNearest(q.x, q.y, q.k, rtree.RunOptions{
-		Limit:  q.limit,
-		Cancel: cancelPoll(q.ctx),
-	})
-	if q.stats != nil {
-		*q.stats = st
-	}
-	return out, err
-}
-
-// --- v1 query shims -------------------------------------------------------
-//
-// The pre-v2 entry points remain as thin wrappers over the unified
-// executor so existing callers keep working; new code should build Query
-// values instead.
-
-// Query reports every stored item intersecting q to fn (return false to
-// stop early) and returns visit statistics.
-//
-// Deprecated: use Run, Iter or Collect with a Window query; statistics
-// come from WithStats.
-func (t *Tree) Query(q Rect, fn func(Item) bool) QueryStats {
-	var st QueryStats
-	_ = t.Run(Window(q).WithStats(&st), fn)
-	return st
-}
-
-// Search returns all items intersecting q.
-//
-// Deprecated: use Collect or Iter with a Window query.
-func (t *Tree) Search(q Rect) []Item {
-	out, _ := t.Collect(Window(q))
-	return out
-}
-
-// SearchPoint returns all items containing the point (x, y).
-//
-// Deprecated: use Collect or Iter with a Point query.
-func (t *Tree) SearchPoint(x, y float64) []Item {
-	out, _ := t.Collect(Point(x, y))
-	return out
-}
-
-// SearchContained returns all items fully contained in q.
-//
-// Deprecated: use Collect or Iter with a Contained query.
-func (t *Tree) SearchContained(q Rect) []Item {
-	out, _ := t.Collect(Contained(q))
-	return out
-}
-
-// Neighbor is one nearest-neighbor result with its squared distance.
-type Neighbor = rtree.Neighbor
-
-// NearestNeighbors returns the k items closest to (x, y) in ascending
-// distance order (best-first search).
-//
-// Deprecated: use Run, Iter or Collect with a Nearest query; this shim
-// remains for callers that need the squared distances.
-func (t *Tree) NearestNeighbors(x, y float64, k int) []Neighbor {
-	out, _, _ := t.inner.RunNearest(x, y, k, rtree.RunOptions{})
-	return out
+	return collectNearest(executor{tree: t.inner}, q)
 }
 
 // QueryBatch runs every window query concurrently on up to workers
 // goroutines (bounded by GOMAXPROCS; <= 1 means serial) and returns
 // per-query statistics indexed like queries. Per-query results and stats
-// are identical to sequential Query calls at every worker count, and with
+// are identical to sequential Run calls at every worker count, and with
 // the default unbounded cache the aggregate block-I/O is bit-identical
 // too. The tree must not be mutated while a batch runs.
 func (t *Tree) QueryBatch(queries []Rect, workers int) []QueryStats {
@@ -265,8 +253,8 @@ func (t *Tree) QueryBatch(queries []Rect, workers int) []QueryStats {
 
 // SearchBatch runs every query concurrently on up to workers goroutines and
 // returns the matching items per query, indexed and ordered exactly as N
-// sequential Search calls would be. The tree must not be mutated while a
-// batch runs.
+// sequential Collect calls with Window queries would be. The tree must not
+// be mutated while a batch runs.
 func (t *Tree) SearchBatch(queries []Rect, workers int) [][]Item {
 	results, _ := t.inner.SearchBatch(queries, workers)
 	return results

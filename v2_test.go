@@ -13,6 +13,7 @@ import (
 
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/rtree"
 	"prtree/internal/workload"
 )
 
@@ -116,11 +117,11 @@ func TestBackendEquivalence(t *testing.T) {
 					}
 
 					x, y := rng.Float64(), rng.Float64()
-					if !reflect.DeepEqual(mem.SearchPoint(x, y), file.SearchPoint(x, y)) {
+					if !reflect.DeepEqual(must(mem.Collect(Point(x, y))), must(file.Collect(Point(x, y)))) {
 						t.Fatalf("query %d: point results differ", i)
 					}
-					nm := mem.NearestNeighbors(x, y, 10)
-					nf := file.NearestNeighbors(x, y, 10)
+					nm := must(mem.CollectNearest(Nearest(x, y, 10)))
+					nf := must(file.CollectNearest(Nearest(x, y, 10)))
 					if !reflect.DeepEqual(nm, nf) {
 						t.Fatalf("query %d: k-NN results differ", i)
 					}
@@ -167,7 +168,7 @@ func TestCreateCloseOpen(t *testing.T) {
 			queries := workload.Squares(world, 0.01, 20, 5)
 			wantResults := make([][]Item, len(queries))
 			for i, q := range queries {
-				wantResults[i] = tree.Search(q)
+				wantResults[i] = must(tree.Collect(Window(q)))
 			}
 			wantLen, wantHeight, wantNodes := tree.Len(), tree.Height(), tree.Nodes()
 			if err := tree.Close(); err != nil {
@@ -190,7 +191,7 @@ func TestCreateCloseOpen(t *testing.T) {
 				t.Fatal("reopened Items differ")
 			}
 			for i, q := range queries {
-				if got := re.Search(q); !reflect.DeepEqual(got, wantResults[i]) {
+				if got := must(re.Collect(Window(q))); !reflect.DeepEqual(got, wantResults[i]) {
 					t.Fatalf("reopened query %d differs", i)
 				}
 			}
@@ -231,7 +232,7 @@ func TestFileBackedUpdatesPersist(t *testing.T) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
-	want := tree.Search(NewRect(0, 0, 1, 1))
+	want := must(tree.Collect(Window(NewRect(0, 0, 1, 1))))
 	if err := tree.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestFileBackedUpdatesPersist(t *testing.T) {
 	if re.Len() != 400 {
 		t.Fatalf("reopened Len = %d, want 400", re.Len())
 	}
-	if got := re.Search(NewRect(0, 0, 1, 1)); !reflect.DeepEqual(got, want) {
+	if got := must(re.Collect(Window(NewRect(0, 0, 1, 1)))); !reflect.DeepEqual(got, want) {
 		t.Fatal("reopened search differs after updates")
 	}
 }
@@ -287,19 +288,27 @@ func TestQuerySurface(t *testing.T) {
 		}
 	})
 
-	t.Run("kinds agree with v1 shims", func(t *testing.T) {
-		q := workload.Squares(world, 0.02, 1, 3)[0]
-		if got, _ := tree.Collect(Window(q)); !reflect.DeepEqual(got, tree.Search(q)) {
-			t.Error("Window/Search disagree")
+	t.Run("kinds agree with the executor", func(t *testing.T) {
+		exec := func(r Rect, contain bool) []Item {
+			var out []Item
+			tree.inner.RunWindow(r, contain, func(it Item) bool {
+				out = append(out, it)
+				return true
+			}, rtree.RunOptions{})
+			return out
 		}
-		if got, _ := tree.Collect(Contained(q)); !reflect.DeepEqual(got, tree.SearchContained(q)) {
-			t.Error("Contained/SearchContained disagree")
+		q := workload.Squares(world, 0.02, 1, 3)[0]
+		if got, _ := tree.Collect(Window(q)); !reflect.DeepEqual(got, exec(q, false)) {
+			t.Error("Window disagrees with RunWindow")
+		}
+		if got, _ := tree.Collect(Contained(q)); !reflect.DeepEqual(got, exec(q, true)) {
+			t.Error("Contained disagrees with RunWindow")
 		}
 		x, y := 0.3, 0.7
-		if got, _ := tree.Collect(Point(x, y)); !reflect.DeepEqual(got, tree.SearchPoint(x, y)) {
-			t.Error("Point/SearchPoint disagree")
+		if got, _ := tree.Collect(Point(x, y)); !reflect.DeepEqual(got, exec(geom.PointRect(x, y), false)) {
+			t.Error("Point disagrees with RunWindow")
 		}
-		want := tree.NearestNeighbors(0.5, 0.5, 9)
+		want, _, _ := tree.inner.RunNearest(0.5, 0.5, 9, rtree.RunOptions{})
 		got, err := tree.Collect(Nearest(0.5, 0.5, 9))
 		if err != nil || len(got) != len(want) {
 			t.Fatalf("Nearest: %d results, want %d (err %v)", len(got), len(want), err)
@@ -333,11 +342,118 @@ func TestQuerySurface(t *testing.T) {
 		if err != nil || len(got) != 4 {
 			t.Fatalf("nearest with limit: %d results (err %v)", len(got), err)
 		}
-		want := tree.NearestNeighbors(0.5, 0.5, 4)
+		want := must(tree.CollectNearest(Nearest(0.5, 0.5, 4)))
 		for i := range got {
 			if got[i] != want[i].Item {
 				t.Fatalf("limited nearest differs at %d", i)
 			}
+		}
+	})
+}
+
+// TestDynamicRunOptions checks the per-query options on a dynamic index,
+// whose executor fans out over the insert buffer and several static
+// levels: cancellation from inside fn stops the traversal within a node
+// visit or so, and a limit counts live results across all components.
+func TestDynamicRunOptions(t *testing.T) {
+	d := NewDynamic(&Options{BlockSize: 512})
+	items := randItems(d.Base()*(1+2+4)+5, 21) // three occupied levels + 5 buffered
+	for _, it := range items {
+		d.Insert(it)
+	}
+	occupied := 0
+	for _, n := range d.LevelSizes() {
+		if n > 0 {
+			occupied++
+		}
+	}
+	buffered := d.BufferLen()
+	if occupied < 2 || buffered == 0 {
+		t.Fatalf("workload left %d occupied levels and %d buffered items", occupied, buffered)
+	}
+	// The buffer holds the most recent inserts; tombstone a few older
+	// items so the limit must skip dead entries inside the levels.
+	for _, it := range items[:3] {
+		d.Delete(it)
+	}
+	inBuffer := make(map[uint32]bool)
+	for _, it := range items[len(items)-buffered:] {
+		inBuffer[it.ID] = true
+	}
+	world := NewRect(-1, -1, 2, 2)
+	var full QueryStats
+	if n := must(d.Count(Window(world).WithStats(&full))); n != d.Len() {
+		t.Fatalf("unlimited count %d, want %d", n, d.Len())
+	}
+
+	t.Run("limit spans buffer and levels", func(t *testing.T) {
+		n := buffered + 4
+		var st QueryStats
+		got := must(d.Collect(Window(world).WithLimit(n).WithStats(&st)))
+		if len(got) != n || st.Results != n {
+			t.Fatalf("limit %d: %d results, stats %+v", n, len(got), st)
+		}
+		fromBuffer := 0
+		for _, it := range got {
+			if inBuffer[it.ID] {
+				fromBuffer++
+			}
+			if it.ID < 3 {
+				t.Fatalf("limited query returned deleted item %d", it.ID)
+			}
+		}
+		if fromBuffer != buffered || st.LeavesVisited == 0 {
+			t.Fatalf("limit %d: %d buffered results, %d leaves visited; want %d and > 0",
+				n, fromBuffer, st.LeavesVisited, buffered)
+		}
+		if st.NodesVisited >= full.NodesVisited {
+			t.Fatalf("limited query visited %d nodes, unlimited %d", st.NodesVisited, full.NodesVisited)
+		}
+		nn := must(d.CollectNearest(Nearest(0.5, 0.5, 20).WithLimit(7)))
+		want := must(d.CollectNearest(Nearest(0.5, 0.5, 7)))
+		if !reflect.DeepEqual(nn, want) {
+			t.Fatalf("nearest with limit 7 differs from k=7")
+		}
+	})
+
+	t.Run("cancel from fn", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var st QueryStats
+		seen := 0
+		// Cancel on the first result from a static level: the buffer
+		// reports first, so that is result buffered+1.
+		err := d.Run(Window(world).WithContext(ctx).WithStats(&st), func(Item) bool {
+			seen++
+			if seen == buffered+1 {
+				cancel()
+			}
+			return true
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		// Cancellation is polled per node visit: the rest of the current
+		// leaf still reports, nothing after it.
+		if seen > buffered+d.Base() {
+			t.Fatalf("fn ran %d times after cancel at %d (leaf capacity %d)", seen, buffered+1, d.Base())
+		}
+		// One root-to-leaf path of one level, at most.
+		if st.NodesVisited == 0 || st.NodesVisited > 4 || st.NodesVisited >= full.NodesVisited {
+			t.Fatalf("canceled query visited %d nodes (unlimited %d)", st.NodesVisited, full.NodesVisited)
+		}
+		if _, err := d.CollectNearest(Nearest(0.5, 0.5, 5).WithContext(ctx)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled nearest: err = %v", err)
+		}
+	})
+
+	t.Run("deprecated shims agree", func(t *testing.T) {
+		q := NewRect(0.2, 0.2, 0.7, 0.7)
+		if st := d.Query(q, nil); st.Results != must(d.Count(Window(q))) {
+			t.Fatalf("Query shim: %d results", st.Results)
+		}
+		if !reflect.DeepEqual(d.NearestNeighbors(0.3, 0.3, 6), must(d.CollectNearest(Nearest(0.3, 0.3, 6)))) {
+			t.Fatal("NearestNeighbors shim disagrees with CollectNearest")
 		}
 	})
 }
@@ -362,7 +478,7 @@ func TestConcurrentIterFileBacked(t *testing.T) {
 	queries := workload.Squares(world, 0.01, 32, 13)
 	want := make([][]Item, len(queries))
 	for i, q := range queries {
-		want[i] = tree.Search(q)
+		want[i] = must(tree.Collect(Window(q)))
 	}
 
 	var wg sync.WaitGroup
