@@ -7,9 +7,9 @@ import (
 	"prtree/internal/storage"
 )
 
-// This file holds the k-nearest-neighbor plumbing RunNearest (query.go)
-// uses: the result type, the point-to-rectangle metric and the pooled
-// best-first frontier.
+// This file holds the plumbing of RunNearest's (query.go) best-first
+// k-nearest-neighbor search, Hjaltason & Samet's incremental algorithm:
+// the result type, the point-to-rectangle metric and the pooled frontier.
 
 // Neighbor is one k-nearest-neighbor result with its squared distance
 // from the query point to the rectangle (0 when the point is inside).

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -292,6 +293,70 @@ func TestDrainTimeout(t *testing.T) {
 	<-dispatchDone
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// pipeListener accepts one end of an in-memory pipe. net.Pipe has no
+// buffer, so a server write blocks until the peer reads.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestDrainCutsStalledPeer: a drain waits for a response to be flushed,
+// so a peer that sends a request and never reads keeps it in flight. Once
+// the drain deadline passes, Shutdown must still cut the connection so the
+// handler goroutine exits.
+func TestDrainCutsStalledPeer(t *testing.T) {
+	set := buildSet(t, dataset.Western(1000, 3), 2, PartitionHilbert)
+	srv := New(Config{Set: set})
+	entered := make(chan struct{}, 1)
+	srv.testHook = func(Request) { entered <- struct{}{} }
+	serverEnd, peer := net.Pipe()
+	defer peer.Close()
+	lis := &pipeListener{conns: make(chan net.Conn, 1), done: make(chan struct{})}
+	lis.conns <- serverEnd
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.ServeBinary(lis) }()
+
+	payload, err := EncodeRequest(nil, Request{Op: OpStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(peer, payload); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // admitted; its response write now blocks on the pipe
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown with an unread response: got %v, want context.DeadlineExceeded", err)
+	}
+	wait, cancelWait := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelWait()
+	if err := waitCtx(wait, &srv.connWG); err != nil {
+		t.Fatal("handler still blocked on the stalled peer after the drain deadline")
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("ServeBinary after drain: %v", err)
 	}
 }
 
